@@ -278,22 +278,30 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Every GEMM regime that can run multi-threaded is timed in wall time
+  // (UseRealTime), so its kIsRate GFLOPS counter is a wall-time rate: the
+  // default CPU time of the main thread alone would overstate every p > 1
+  // rate by roughly the worker count.
   for (const auto variant : kernels::supported_variants()) {
     const std::string suffix = kernels::variant_name(variant);
     benchmark::RegisterBenchmark(("BM_SgemmSquare/" + suffix).c_str(),
                                  BM_SgemmSquare, variant)
         ->ArgsProduct({{128, 512, 1024}, {1, 4, 0 /* all */}})
+        ->UseRealTime()
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("BM_SgemmSkinny/" + suffix).c_str(),
                                  BM_SgemmSkinny, variant)
         ->ArgsProduct({{512, 2048}, {1, 4, 0}})
+        ->UseRealTime()
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("BM_DgemmSquare/" + suffix).c_str(),
                                  BM_DgemmSquare, variant)
         ->Arg(512)
+        ->UseRealTime()
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("BM_SgemmSmallRepeat/" + suffix).c_str(),
                                  BM_SgemmSmallRepeat, variant)
+        ->UseRealTime()
         ->Unit(benchmark::kMicrosecond)
         ->MinTime(0.5);
   }
@@ -308,10 +316,12 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("BM_PackComputeOverlap/square",
                                BM_PackComputeOverlap, false)
       ->Arg(512)->Arg(1024)->Arg(2048)
+      ->UseRealTime()
       ->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("BM_PackComputeOverlap/ragged",
                                BM_PackComputeOverlap, true)
       ->Arg(512)->Arg(1024)->Arg(2048)
+      ->UseRealTime()
       ->Unit(benchmark::kMicrosecond);
 
   // Console output for humans plus BENCH_gemm_kernel.json for the perf

@@ -147,18 +147,19 @@ void gemm(Trans trans_a, Trans trans_b, int m, int n, int k, T alpha,
   // Parallel path: the pack pipeline. The shared packed-B block becomes a
   // ping/pong pair carved from the arena's shared slab by the orchestrating
   // thread; while the threads compute kc-panel i out of one half, the
-  // cooperative pack of panel i+1 proceeds into the other. MC-row tiles are
-  // claimed through a stealable deck instead of a static row split, so
-  // ragged shapes and packing skew no longer leave threads idle — the two
-  // SpinBarrier round-trips per panel of the old schedule collapse into the
-  // pipeline's single drain point (see blas/pack_pipeline.h).
+  // cooperative pack of panel i+1 proceeds into the other. Each panel is
+  // cut into a 2D tile grid — row tiles, plus column tiles when m is too
+  // small to give every thread rows — claimed through a stealable deck, so
+  // small-m calls, ragged shapes and packing skew keep every thread busy up
+  // to the pipeline's single drain point (see blas/pack_pipeline.h).
   const std::size_t b_pack_elems = detail::b_panel_elems(ks, g.nc, n, g.kc);
   const std::size_t a_pack_elems = detail::a_panel_elems(ks, g.mc, g.kc);
   detail::SharedPair<T> pair = detail::carve_shared_pair<T>(b_pack_elems);
 
-  const int row_tiles = (m + g.mc - 1) / g.mc;
+  const detail::TileGrid grid =
+      detail::make_tile_grid(p, m, n, g, ks.mr, ks.nr);
   detail::PackPipeline pipe(p);
-  detail::TileDeck deck(p, row_tiles);
+  detail::TileDeck deck(p, grid.max_tiles);
 
   pool.parallel_region(p, [&](std::size_t tid, std::size_t nt) {
     // One bare-A carve per participant; degrades to a per-call buffer when
@@ -167,7 +168,7 @@ void gemm(Trans trans_a, Trans trans_b, int m, int n, int k, T alpha,
     T* a_pack = detail::thread_slab_or_fallback<T>(a_pack_elems, a_fallback);
 
     detail::pipelined_macro_loop<T>(
-        tid, nt, m, n, k, g, ks.nr, pair.bufs, pipe, deck,
+        tid, nt, n, k, g, grid, ks.nr, pair.bufs, pipe, deck,
         // Cooperative B pack: one NR-column micro-panel of the kc block.
         [&](int jc, int pc, int kc_eff, int q, T* dst) {
           const int j0 = jc + q * ks.nr;
@@ -175,7 +176,7 @@ void gemm(Trans trans_a, Trans trans_b, int m, int n, int k, T alpha,
           detail::pack_b_chunk<T>(trans_b == Trans::kYes, b, ldb, pc, j0,
                                   kc_eff, cols, ks.nr, dst);
         },
-        // One MC-row tile: fold the beta scale into the jc-block's first
+        // One grid tile: fold the beta scale into the jc-block's first
         // panel (first-touch, so no pre-scale barrier orders against
         // stolen tiles), pack this tile's A block, run the macro-kernel.
         [&](int jc, int pc, int nc_eff, int kc_eff, bool first_of_jc, int ic,

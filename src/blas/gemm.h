@@ -8,7 +8,9 @@
 //   - a register-blocked MR x NR micro-kernel chosen at runtime from the
 //     dispatched KernelSet (hand-written AVX2+FMA when the CPU has it,
 //     compiler-vectorised generic otherwise; see blas/kernels/dispatch.h),
-//   - row-partitioned threading with shared packed-B and spin barriers.
+//   - threading over a 2D grid of MR x NR-aligned C tiles, stolen from
+//     per-thread deques while the next shared B panel is packed
+//     (blas/pack_pipeline.h).
 // Its thread-count-dependent performance profile (sync + packing overhead vs
 // parallel FLOPs) is the behaviour the ML model learns in native mode.
 //

@@ -188,29 +188,97 @@ SharedPair<T> carve_shared_pair(std::size_t count) {
   return pair;
 }
 
+/// The 2D tile grid each panel of the pipelined macro-loop is split into.
+/// Row tiles are `mt` rows tall and nest inside the MC blocks of the
+/// resolved blocking (a block of mc rows holds ceil(mc / mt) of them, the
+/// last one short); column tiles split each NC block into `nw`-wide runs of
+/// NR panels, the last one short. Both sizes are multiples of the kernel's
+/// MR / NR, so every tile sits on the same global MR x NR micro-tile
+/// lattice as the serial macro-loop: each C element gets the same kernel
+/// calls, with the same panel depths, in the same kc order, whatever the
+/// thread count — which is why results are bit-identical across p.
+///
+/// Tiles of one panel are numbered column-fastest: tile = r * col_tiles + c.
+struct TileGrid {
+  int mc = 0;               ///< resolved MC: the blocks row tiles nest in
+  int mt = 0;               ///< tile height, a multiple of MR, <= mc
+  int nw = 0;               ///< tile width, a multiple of NR, <= NC
+  int rows = 0;             ///< rows of C the grid covers
+  int tiles_per_block = 0;  ///< row tiles in one full MC block
+  int row_tiles = 0;        ///< row tiles over all rows
+  int max_tiles = 0;        ///< tiles of the widest panel: the deck's size
+
+  /// Column tiles of a panel whose jc-block is nc_eff wide.
+  int col_tiles(int nc_eff) const { return (nc_eff + nw - 1) / nw; }
+  int tiles(int nc_eff) const { return row_tiles * col_tiles(nc_eff); }
+  /// Rows [ic, ic + mc_eff) of row tile r.
+  int row_lo(int r) const {
+    return r / tiles_per_block * mc + r % tiles_per_block * mt;
+  }
+  int row_extent(int r) const {
+    const int ic = row_lo(r);
+    const int block_hi = std::min(rows, ic - ic % mc + mc);
+    return std::min(mt, block_hi - ic);
+  }
+};
+
+/// Sizes the tile grid for one call at p threads: about 2p tiles per panel
+/// (never fewer than p where the MR x NR lattice has p micro-tiles), so
+/// stealing has slack to even out ragged tiles and packing duty. Rows
+/// split first, at the tallest MR-multiple height (at most mc) that still
+/// gives 2p row tiles. Only a call with fewer than 2p row tiles — the
+/// small-m calls a row-only split leaves on one or two threads — splits
+/// each NC block's NR panels too, into about as many equal column tiles as
+/// it takes to reach 2p tiles.
+inline TileGrid make_tile_grid(std::size_t p, int rows, int cols,
+                               const BlockGeom& g, int mr, int nr) {
+  const long target = 2 * static_cast<long>(p);
+  const long strips = (rows + mr - 1) / mr;
+  TileGrid grid;
+  grid.mc = g.mc;
+  grid.rows = rows;
+  grid.mt = static_cast<int>(
+      std::min<long>(g.mc, mr * std::max<long>(1, strips / target)));
+  grid.tiles_per_block = (g.mc + grid.mt - 1) / grid.mt;
+  grid.row_tiles = rows / g.mc * grid.tiles_per_block +
+                   (rows % g.mc + grid.mt - 1) / grid.mt;
+  const long col_split = grid.row_tiles >= target
+                             ? 1
+                             : (target + grid.row_tiles - 1) / grid.row_tiles;
+  const int widest = std::min(g.nc, cols);
+  const long col_panels = (widest + nr - 1) / nr;
+  grid.nw = static_cast<int>(nr * ((col_panels + col_split - 1) / col_split));
+  grid.max_tiles = grid.tiles(widest);
+  return grid;
+}
+
 /// The pipelined level-3 macro-loop, run by EVERY participant of a parallel
 /// region (GEMM first, and the SYMM/TRMM loops that share its structure).
 /// Enumerates the (jc, pc) panel grid in order; for each panel the
 /// cooperative pack of the NEXT panel proceeds into the other half of the
-/// ping/pong pair while this panel is computed, and MC-row tiles are
-/// claimed through the stealable deck instead of a static row split.
+/// ping/pong pair while this panel is computed, and the panel's TileGrid
+/// tiles are claimed through the stealable deck instead of a static split.
 ///
 ///   pack_chunk(jc, pc, kc_eff, q, dst)
 ///     packs NR-column micro-panel q (columns [jc + q*nr, ...)) of the
 ///     kc_eff-deep B block into dst (contiguous kc_eff * nr elements).
 ///   tile_op(jc, pc, nc_eff, kc_eff, first_panel_of_jc, ic, mc_eff, b_buf)
 ///     computes C rows [ic, ic+mc_eff) x columns [jc, jc+nc_eff) against
-///     the packed B block at b_buf. `first_panel_of_jc` is true on the
+///     the packed B block at b_buf. For a column tile, jc / nc_eff / b_buf
+///     describe the tile's own sub-block (jc + j0, its width, and the
+///     packed B offset by its first NR panel), so the callee cannot tell it
+///     from a full-width block. `first_panel_of_jc` is true on the
 ///     jc-block's first pc iteration — where a driver folds its beta scale
 ///     into the tile, first-touch style, so no separate pre-scale barrier
 ///     orders against the stolen tiles.
 ///
 /// The caller sizes each half of `b_bufs` for the widest panel
-/// (b_panel_elems at the resolved kc/nc); within a panel the packed layout
-/// is q * kc_eff * nr, matching the pre-pipeline cooperative pack.
+/// (b_panel_elems at the resolved kc/nc) and the deck for grid.max_tiles;
+/// within a panel the packed layout is q * kc_eff * nr, matching the
+/// pre-pipeline cooperative pack.
 template <typename T, typename PackChunkFn, typename TileOpFn>
-void pipelined_macro_loop(std::size_t tid, std::size_t nt, int rows, int cols,
-                          int kdim, const BlockGeom& g, int nr,
+void pipelined_macro_loop(std::size_t tid, std::size_t nt, int cols, int kdim,
+                          const BlockGeom& g, const TileGrid& grid, int nr,
                           T* const (&b_bufs)[2], PackPipeline& pipe,
                           TileDeck& deck, PackChunkFn&& pack_chunk,
                           TileOpFn&& tile_op) {
@@ -261,12 +329,16 @@ void pipelined_macro_loop(std::size_t tid, std::size_t nt, int rows, int cols,
     const int kc_eff = std::min(g.kc, kdim - pc);
     const bool first_of_jc = pc == 0;
     const T* b_buf = b_bufs[panel & 1];
+    const int col_tiles = grid.col_tiles(nc_eff);
+    const int tiles = grid.row_tiles * col_tiles;
     const std::uint64_t t0 = timed ? stats_now_ns() : 0;
-    for (int tile = deck.claim(t, panel); tile >= 0;
-         tile = deck.claim(t, panel)) {
-      const int ic = tile * g.mc;
-      const int mc_eff = std::min(g.mc, rows - ic);
-      tile_op(jc, pc, nc_eff, kc_eff, first_of_jc, ic, mc_eff, b_buf);
+    for (int tile = deck.claim(t, panel, tiles); tile >= 0;
+         tile = deck.claim(t, panel, tiles)) {
+      const int r = tile / col_tiles;
+      const int j0 = tile % col_tiles * grid.nw;
+      tile_op(jc + j0, pc, std::min(grid.nw, nc_eff - j0), kc_eff,
+              first_of_jc, grid.row_lo(r), grid.row_extent(r),
+              b_buf + static_cast<long>(j0 / nr) * kc_eff * nr);
       ++tiles_done;
     }
     if (timed) compute_ns += stats_now_ns() - t0;

@@ -1,10 +1,10 @@
 // Compute/pack overlap primitives for the level-3 macro-loops.
 //
 // The pre-pipeline GEMM driver packed each KC x NC B panel behind a full
-// SpinBarrier, computed, then barriered again before re-packing — two full
+// spin barrier, computed, then barriered again before re-packing — two full
 // round-trips per kc iteration, with pack time serialised against compute.
 // These primitives replace that schedule with a depth-2 (ping/pong) pack
-// pipeline plus a stealable row-tile partition:
+// pipeline plus a stealable tile partition:
 //
 //   PackPipeline — per-buffer generation ("epoch") counters over a paired
 //     B slab. While the threads compute kc-panel i out of buffer i%2, the
@@ -13,11 +13,13 @@
 //     previous panel draining) instead of two barriers. Waits are
 //     spin-then-park, consistent with the ThreadPool's fork/join.
 //
-//   TileDeck — per-thread deques of MC-row tiles with an atomic cursor
-//     each; a thread that drains its own deque steals from the next
-//     victim's. Ragged shapes (m not a multiple of nt*mr) and the skew a
-//     thread picks up from packing duty no longer leave threads idle at a
-//     barrier: the tail tiles migrate to whoever is free.
+//   TileDeck — per-thread deques of one panel's 2D grid tiles (row tiles
+//     nested in MC blocks, split into column tiles when m is small; see
+//     TileGrid in level3_common.h) with an atomic cursor each; a thread
+//     that drains its own deque steals from the next victim's. Ragged
+//     shapes and the skew a thread picks up from packing duty no longer
+//     leave threads idle at a barrier: the tail tiles migrate to whoever
+//     is free.
 //
 // Epoch discipline (the part TSan gates in tests/test_pack_overlap.cpp):
 // panels complete strictly in order, so one monotonic `panels_done` counter
@@ -49,7 +51,7 @@ namespace adsala::blas::detail {
 /// tile.
 struct PipelineStats {
   std::atomic<std::uint64_t> panels{0};     ///< kc-panels fully packed
-  std::atomic<std::uint64_t> tiles{0};      ///< MC-row tiles computed
+  std::atomic<std::uint64_t> tiles{0};      ///< grid tiles computed
   std::atomic<std::uint64_t> steals{0};     ///< tiles claimed from a victim
   std::atomic<std::uint64_t> pack_ns{0};    ///< time packing (timing only)
   std::atomic<std::uint64_t> compute_ns{0}; ///< time computing (timing only)
@@ -178,12 +180,15 @@ class PackPipeline {
   std::condition_variable cv_;
 };
 
-/// Stealable partition of the macro-loop's MC-row tiles for ONE op call.
-/// Tile r covers rows [r*mc, min(rows, (r+1)*mc)); each thread owns the
-/// contiguous deque [t*tiles/nt, (t+1)*tiles/nt) and claims from its front
-/// through an epoch-tagged atomic cursor. A thread that drains its own
-/// deque scans the victims after it (the classic steal index) and claims
-/// from theirs; a successful foreign claim counts as one steal. Cursors are
+/// Stealable partition of one panel's tiles (the TileGrid of
+/// level3_common.h) for ONE op call. A panel's `tiles` tiles are split into
+/// contiguous per-thread deques [t*tiles/nt, (t+1)*tiles/nt), and each
+/// thread claims from the front of its own through an epoch-tagged atomic
+/// cursor. A thread that drains its own deque scans the victims after it
+/// (the classic steal index) and claims from theirs; a successful foreign
+/// claim counts as one steal. The tile count is passed with every claim
+/// because it varies by panel (a narrow last jc-block has fewer column
+/// tiles); every claimant of one panel passes the same count. Cursors are
 /// tagged with the panel index, so re-arming the deck for the next panel is
 /// lock-free: a claim for panel i against a cursor still tagged i-1 simply
 /// starts that deque over — no reset step can race a late thief, because
@@ -191,10 +196,10 @@ class PackPipeline {
 /// only ever target the globally current panel.
 class TileDeck {
  public:
-  TileDeck(std::size_t participants, int tiles)
+  /// `max_tiles` bounds the tile count of any panel this deck serves.
+  TileDeck(std::size_t participants, int max_tiles)
       : nt_(static_cast<int>(participants)),
-        tiles_(tiles),
-        stride_(static_cast<long>(tiles) + 1),
+        stride_(static_cast<long>(max_tiles) + 1),
         cursors_(participants) {
     // Tag every cursor with panel -1 (exactly -stride_, so the truncating
     // division below still recovers the tag): a panel-0 claim must start at
@@ -205,22 +210,22 @@ class TileDeck {
   TileDeck(const TileDeck&) = delete;
   TileDeck& operator=(const TileDeck&) = delete;
 
-  int owned_lo(int t) const {
-    return static_cast<int>(static_cast<long>(t) * tiles_ / nt_);
+  int owned_lo(int t, int tiles) const {
+    return static_cast<int>(static_cast<long>(t) * tiles / nt_);
   }
-  int owned_hi(int t) const {
-    return static_cast<int>(static_cast<long>(t + 1) * tiles_ / nt_);
+  int owned_hi(int t, int tiles) const {
+    return static_cast<int>(static_cast<long>(t + 1) * tiles / nt_);
   }
 
-  /// Claims the next tile of `panel` for thread `t`: own deque first, then
-  /// each victim's in steal order. Returns -1 when the panel's tiles are
-  /// exhausted.
-  int claim(int t, long panel) {
-    const int own = claim_from(t, panel);
+  /// Claims the next of `panel`'s `tiles` tiles for thread `t`: own deque
+  /// first, then each victim's in steal order. Returns -1 when the panel's
+  /// tiles are exhausted.
+  int claim(int t, long panel, int tiles) {
+    const int own = claim_from(t, panel, tiles);
     if (own >= 0) return own;
     for (int d = 1; d < nt_; ++d) {
       const int victim = (t + d) % nt_;
-      const int stolen = claim_from(victim, panel);
+      const int stolen = claim_from(victim, panel, tiles);
       if (stolen >= 0) {
         pipeline_stats().steals.fetch_add(1, std::memory_order_relaxed);
         return stolen;
@@ -233,9 +238,9 @@ class TileDeck {
   /// One epoch-tagged claim attempt against thread `v`'s deque. The cursor
   /// encodes (panel, next) as panel * stride_ + next; a cursor from an
   /// earlier panel means v's deque is untouched this panel.
-  int claim_from(int v, long panel) {
-    const int lo = owned_lo(v);
-    const int hi = owned_hi(v);
+  int claim_from(int v, long panel, int tiles) {
+    const int lo = owned_lo(v, tiles);
+    const int hi = owned_hi(v, tiles);
     if (lo >= hi) return -1;
     std::atomic<long>& cur = cursors_[v].value;
     long seen = cur.load(std::memory_order_relaxed);
@@ -256,7 +261,6 @@ class TileDeck {
   };
 
   const int nt_;
-  const int tiles_;
   const long stride_;
   std::vector<Cursor> cursors_;
 };

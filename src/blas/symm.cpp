@@ -110,26 +110,27 @@ void symm(Uplo uplo, int n, int m, T alpha, const T* a, int lda, const T* b,
     return;
   }
 
-  // Parallel path: the same pack pipeline as GEMM (see blas/pack_pipeline.h)
-  // — the pre-pipeline schedule had every thread pack its own duplicate of
-  // the full B block to stay barrier-free; the cooperative ping/pong pack
-  // does the copy once per panel and overlaps it with compute, and the
-  // stolen MC-row tiles rebalance the packing skew.
+  // Parallel path: the same pack pipeline and 2D tile grid as GEMM (see
+  // blas/pack_pipeline.h) — the pre-pipeline schedule had every thread pack
+  // its own duplicate of the full B block to stay barrier-free; the
+  // cooperative ping/pong pack does the copy once per panel and overlaps it
+  // with compute, and the stolen grid tiles rebalance the packing skew.
   const bool lower = uplo == Uplo::kLower;
   const std::size_t b_pack_elems = detail::b_panel_elems(ks, g.nc, m, g.kc);
   const std::size_t a_pack_elems = detail::a_panel_elems(ks, g.mc, g.kc);
   detail::SharedPair<T> pair = detail::carve_shared_pair<T>(b_pack_elems);
 
-  const int row_tiles = (n + g.mc - 1) / g.mc;
+  const detail::TileGrid grid =
+      detail::make_tile_grid(p, n, m, g, ks.mr, ks.nr);
   detail::PackPipeline pipe(p);
-  detail::TileDeck deck(p, row_tiles);
+  detail::TileDeck deck(p, grid.max_tiles);
 
   pool.parallel_region(p, [&](std::size_t tid, std::size_t nt) {
     std::shared_ptr<AlignedBuffer<T>> a_fallback;
     T* a_pack = detail::thread_slab_or_fallback<T>(a_pack_elems, a_fallback);
 
     detail::pipelined_macro_loop<T>(
-        tid, nt, n, m, n, g, ks.nr, pair.bufs, pipe, deck,
+        tid, nt, m, n, g, grid, ks.nr, pair.bufs, pipe, deck,
         [&](int jc, int pc, int kc_eff, int q, T* dst) {
           const int j0 = jc + q * ks.nr;
           const int cols = std::min(ks.nr, m - j0);

@@ -207,30 +207,32 @@ void trmm(Uplo uplo, Trans trans, Diag diag, int n, int m, T alpha,
     return;
   }
 
-  // Parallel accumulate pass: the pack pipeline (see blas/pack_pipeline.h).
-  // The pre-pipeline schedule gave each thread an area-balanced triangle
-  // split and a private full-B pack; the cooperative ping/pong pack copies
-  // each kc panel once, and the triangle's load skew — the very thing the
-  // old triangle_split existed for — is absorbed by tile stealing instead:
-  // a thread whose tiles sit outside the panel's triangle extent finishes
-  // its skips instantly and steals real work. Every kc panel intersects at
-  // least one row tile's extent, so no panel-level skip is needed; TRMM's
-  // ~half-GEMM FLOP count is preserved by the per-tile skip below.
+  // Parallel accumulate pass: the pack pipeline and 2D tile grid shared
+  // with GEMM (see blas/pack_pipeline.h). The pre-pipeline schedule gave
+  // each thread an area-balanced triangle split and a private full-B pack;
+  // the cooperative ping/pong pack copies each kc panel once, and the
+  // triangle's load skew — the very thing the old triangle_split existed
+  // for — is absorbed by tile stealing instead: a thread whose tiles sit
+  // outside the panel's triangle extent finishes its skips instantly and
+  // steals real work. Every kc panel intersects at least one MC block's
+  // extent, so no panel-level skip is needed; TRMM's ~half-GEMM FLOP count
+  // is preserved by the per-block skip below.
   const bool unit = diag == Diag::kUnit;
   const bool trans_eff = trans == Trans::kYes;
   const detail::BlockGeom g{mc, kc, nc};
   const std::size_t a_pack_elems = detail::a_panel_elems(ks, mc, kc);
 
-  const int row_tiles = (n + mc - 1) / mc;
+  const detail::TileGrid grid =
+      detail::make_tile_grid(p, n, m, g, ks.mr, ks.nr);
   detail::PackPipeline pipe(p);
-  detail::TileDeck deck(p, row_tiles);
+  detail::TileDeck deck(p, grid.max_tiles);
 
   pool.parallel_region(p, [&](std::size_t tid, std::size_t nt) {
     std::shared_ptr<AlignedBuffer<T>> a_fallback;
     T* a_pack = detail::thread_slab_or_fallback<T>(a_pack_elems, a_fallback);
 
     detail::pipelined_macro_loop<T>(
-        tid, nt, n, m, n, g, ks.nr, pair.bufs, pipe, deck,
+        tid, nt, m, n, g, grid, ks.nr, pair.bufs, pipe, deck,
         [&](int jc, int pc, int kc_eff, int q, T* dst) {
           const int j0 = jc + q * ks.nr;
           const int cols = std::min(ks.nr, m - j0);
@@ -239,9 +241,16 @@ void trmm(Uplo uplo, Trans trans, Diag diag, int n, int m, T alpha,
         },
         [&](int jc, int pc, int nc_eff, int kc_eff, bool /*first_of_jc*/,
             int ic, int mc_eff, const T* b_buf) {
-          // Per-tile triangle skip: this slab contributes only zeros to rows
-          // [ic, ic+mc_eff) when it lies outside their triangle extent.
-          if (lower_eff ? pc >= ic + mc_eff : pc + kc_eff <= ic) return;
+          // Triangle skip, decided for the tile's enclosing MC block (grid
+          // row tiles nest inside MC blocks): the slab contributes only
+          // zeros to the block's rows when it lies outside their triangle
+          // extent. The serial trmm_rows_blocked skips at the same
+          // granularity; a finer, p-dependent one would still be right for
+          // finite B, but would drop or keep 0 * Inf products depending on
+          // p, so a non-finite B would make the result depend on p.
+          const int block_lo = ic - ic % mc;
+          const int block_hi = std::min(n, block_lo + mc);
+          if (lower_eff ? pc >= block_hi : pc + kc_eff <= block_lo) return;
           detail::pack_a_tri<T>(a, lda, trans_eff, lower_eff, unit, ic, pc,
                                 mc_eff, kc_eff, ks.mr, a_pack);
           trmm_macro_kernel<T>(ks, mc_eff, nc_eff, kc_eff, alpha, a_pack,

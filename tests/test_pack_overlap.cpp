@@ -4,7 +4,9 @@
 // TSan CI leg runs this binary), and the pipelined GEMM/SYMM/TRMM drivers
 // are verified against their references on the adversarial shapes the old
 // static row split handled worst — tall-skinny, wide, fewer row tiles than
-// threads, and a k < kc single-panel degenerate.
+// threads, and a k < kc single-panel degenerate. The 2D tile grid's sizing
+// rules are checked directly, and the BitIdentity battery memcmps every
+// thread count against the serial path.
 //
 // The global pool is forced to 4 threads via ADSALA_THREADS before its
 // first use (the static initializer below runs pre-main): on a small CI
@@ -15,12 +17,16 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "blas/gemm.h"
+#include "blas/kernels/dispatch.h"
+#include "blas/level3_common.h"
 #include "blas/pack_pipeline.h"
 #include "blas/symm.h"
 #include "blas/trmm.h"
@@ -52,11 +58,16 @@ std::vector<T> random_matrix(std::size_t rows, std::size_t cols,
 /// Runs the exact PackPipeline/TileDeck protocol of pipelined_macro_loop
 /// from raw threads, with the "pack" writing a per-thread cell tagged with
 /// the panel index and the "compute" asserting every participant's tag is
-/// visible — the acquire/release edges the real loop relies on. Tile claims
-/// are counted per (panel, tile); any double or missed claim fails.
-void hammer_pipeline(int nt, int panels, int tiles) {
+/// visible — the acquire/release edges the real loop relies on. Every third
+/// panel has only `narrow` tiles, as a narrow last jc-block has fewer
+/// column tiles. Tile claims are counted per (panel, tile); any double,
+/// missed or out-of-range claim fails.
+void hammer_pipeline(int nt, int panels, int tiles, int narrow) {
   detail::PackPipeline pipe(static_cast<std::size_t>(nt));
   detail::TileDeck deck(static_cast<std::size_t>(nt), tiles);
+  const auto tiles_of = [&](long panel) {
+    return panel % 3 == 2 ? narrow : tiles;
+  };
   // Ping/pong "buffers": one slot per participant, as the cooperative pack
   // writes disjoint chunks of the real B pair.
   std::vector<long> bufs[2];
@@ -81,8 +92,10 @@ void hammer_pipeline(int nt, int panels, int tiles) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      for (int tile = deck.claim(t, panel); tile >= 0;
-           tile = deck.claim(t, panel)) {
+      const int count = tiles_of(panel);
+      for (int tile = deck.claim(t, panel, count); tile >= 0;
+           tile = deck.claim(t, panel, count)) {
+        if (tile >= count) failures.fetch_add(1, std::memory_order_relaxed);
         claims[static_cast<std::size_t>(panel) * tiles + tile].fetch_add(
             1, std::memory_order_relaxed);
       }
@@ -98,35 +111,45 @@ void hammer_pipeline(int nt, int panels, int tiles) {
       << "a compute phase observed a stale pack contribution";
   for (int p = 0; p < panels; ++p) {
     for (int tile = 0; tile < tiles; ++tile) {
-      EXPECT_EQ(claims[static_cast<std::size_t>(p) * tiles + tile].load(), 1)
+      EXPECT_EQ(claims[static_cast<std::size_t>(p) * tiles + tile].load(),
+                tile < tiles_of(p) ? 1 : 0)
           << "tile " << tile << " of panel " << p
           << " claimed the wrong number of times";
     }
   }
 }
 
-TEST(PackPipeline, HammerManyPanels) { hammer_pipeline(4, 200, 7); }
+TEST(PackPipeline, HammerManyPanels) { hammer_pipeline(4, 200, 7, 7); }
 
-TEST(PackPipeline, HammerMoreThreadsThanTiles) { hammer_pipeline(4, 100, 2); }
+TEST(PackPipeline, HammerMoreThreadsThanTiles) {
+  hammer_pipeline(4, 100, 2, 2);
+}
 
-TEST(PackPipeline, HammerSinglePanel) { hammer_pipeline(4, 1, 5); }
+TEST(PackPipeline, HammerSinglePanel) { hammer_pipeline(4, 1, 5, 5); }
 
-TEST(PackPipeline, HammerTwoThreads) { hammer_pipeline(2, 300, 3); }
+TEST(PackPipeline, HammerTwoThreads) { hammer_pipeline(2, 300, 3, 3); }
+
+TEST(PackPipeline, HammerManyMoreTilesThanThreads) {
+  // The 2D grid's regime: dozens of tiles per thread per panel, with the
+  // narrow panels of a ragged last jc-block mixed in.
+  hammer_pipeline(4, 100, 64, 17);
+}
 
 // ------------------------------------------------------ TileDeck (serial) --
 
 TEST(TileDeck, OneThreadDrainsEveryDequeInStealOrder) {
   detail::TileDeck deck(4, 10);
   // Ownership is the contiguous split [t*10/4, (t+1)*10/4).
-  EXPECT_EQ(deck.owned_lo(0), 0);
-  EXPECT_EQ(deck.owned_hi(0), 2);
-  EXPECT_EQ(deck.owned_lo(3), 7);
-  EXPECT_EQ(deck.owned_hi(3), 10);
+  EXPECT_EQ(deck.owned_lo(0, 10), 0);
+  EXPECT_EQ(deck.owned_hi(0, 10), 2);
+  EXPECT_EQ(deck.owned_lo(3, 10), 7);
+  EXPECT_EQ(deck.owned_hi(3, 10), 10);
 
   const auto steals_before =
       detail::pipeline_stats().steals.load(std::memory_order_relaxed);
   std::vector<int> order;
-  for (int tile = deck.claim(0, 0); tile >= 0; tile = deck.claim(0, 0)) {
+  for (int tile = deck.claim(0, 0, 10); tile >= 0;
+       tile = deck.claim(0, 0, 10)) {
     order.push_back(tile);
   }
   // Own deque front-to-back, then each victim's in steal order.
@@ -136,22 +159,39 @@ TEST(TileDeck, OneThreadDrainsEveryDequeInStealOrder) {
   EXPECT_EQ(detail::pipeline_stats().steals.load(std::memory_order_relaxed) -
                 steals_before,
             8u);
-  EXPECT_EQ(deck.claim(0, 0), -1);
+  EXPECT_EQ(deck.claim(0, 0, 10), -1);
 }
 
 TEST(TileDeck, EpochReArmsWithoutReset) {
   detail::TileDeck deck(2, 4);
   // Drain panel 0 entirely from thread 1.
   int count = 0;
-  while (deck.claim(1, 0) >= 0) ++count;
+  while (deck.claim(1, 0, 4) >= 0) ++count;
   EXPECT_EQ(count, 4);
   // Panel 1 starts over lock-free: stale panel-0 cursors re-arm on claim.
   std::vector<int> order;
-  for (int tile = deck.claim(0, 1); tile >= 0; tile = deck.claim(0, 1)) {
+  for (int tile = deck.claim(0, 1, 4); tile >= 0;
+       tile = deck.claim(0, 1, 4)) {
     order.push_back(tile);
   }
   const std::vector<int> expect = {0, 1, 2, 3};
   EXPECT_EQ(order, expect);
+}
+
+TEST(TileDeck, NarrowPanelUsesItsOwnTileCount) {
+  // A narrow last jc-block has fewer column tiles than the deck's maximum:
+  // its panel splits and claims exactly that many, and the next full-width
+  // panel re-arms at the full count.
+  detail::TileDeck deck(2, 6);
+  std::vector<int> order;
+  for (int tile = deck.claim(1, 0, 3); tile >= 0;
+       tile = deck.claim(1, 0, 3)) {
+    order.push_back(tile);
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));  // own [1,3), then t0's
+  int count = 0;
+  while (deck.claim(0, 1, 6) >= 0) ++count;
+  EXPECT_EQ(count, 6);
 }
 
 TEST(TileDeck, EmptyOwnDequeStealsImmediately) {
@@ -159,14 +199,14 @@ TEST(TileDeck, EmptyOwnDequeStealsImmediately) {
   // [0,0), [0,1), [1,1), [1,2) — threads 0 and 2 own nothing and must steal
   // their first claim. Deterministic because the deck is drained serially.
   detail::TileDeck deck(4, 2);
-  EXPECT_EQ(deck.owned_lo(0), 0);
-  EXPECT_EQ(deck.owned_hi(0), 0);  // empty
-  const int first = deck.claim(0, 0);
+  EXPECT_EQ(deck.owned_lo(0, 2), 0);
+  EXPECT_EQ(deck.owned_hi(0, 2), 0);  // empty
+  const int first = deck.claim(0, 0, 2);
   EXPECT_GE(first, 0);  // stolen from a victim
-  const int second = deck.claim(0, 0);
+  const int second = deck.claim(0, 0, 2);
   EXPECT_GE(second, 0);
   EXPECT_NE(first, second);
-  EXPECT_EQ(deck.claim(0, 0), -1);
+  EXPECT_EQ(deck.claim(0, 0, 2), -1);
 }
 
 // --------------------------------------------------- ragged-shape corpus --
@@ -259,39 +299,258 @@ TEST(RaggedShapes, ResultsBitIdenticalAcrossThreadCountsAndRuns) {
   }
 }
 
+/// Tiles the pipelined loop must compute for one GEMM call: every (jc, pc)
+/// panel computes each tile of its jc-block's grid once.
+long expected_grid_tiles(const detail::TileGrid& grid,
+                         const detail::BlockGeom& g, int n, int k) {
+  const long pc_steps = (k + g.kc - 1) / g.kc;
+  long tiles = 0;
+  for (int jc = 0; jc < n; jc += g.nc) {
+    tiles += pc_steps * grid.tiles(std::min(g.nc, n - jc));
+  }
+  return tiles;
+}
+
 TEST(RaggedShapes, PipelineCountersMatchSchedule) {
   // tiles/panels are schedule invariants: every (jc, pc) panel is packed
-  // once and every row tile computed once per panel, no matter which thread
-  // got it. Deterministic even under stealing.
+  // once and every tile of its grid computed once, no matter which thread
+  // got it. Deterministic even under stealing. The second shape has a
+  // narrow last jc-block, whose panels carry fewer column tiles — counted
+  // exactly, not padded with empty tiles.
   auto& stats = detail::pipeline_stats();
-  const int m = 1201, n = 640, k = 512;
-  const auto a = random_matrix<float>(m, k, 31);
-  const auto b = random_matrix<float>(k, n, 32);
-  auto c = random_matrix<float>(m, n, 33);
-
-  GemmTuning tuning;
-  tuning.mc = 256;
-  tuning.kc = 128;
-  tuning.nc = 320;
   const std::size_t p = std::min<std::size_t>(
       4, ThreadPool::global().max_threads());
   if (p < 2) GTEST_SKIP() << "needs a multi-thread pool";
+  const auto& ks = kernels::kernel_set<float>();
 
-  const auto panels_before = stats.panels.load(std::memory_order_relaxed);
-  const auto tiles_before = stats.tiles.load(std::memory_order_relaxed);
-  gemm<float>(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k, b.data(),
-              n, 0.0f, c.data(), n, static_cast<int>(p), tuning);
+  struct Case {
+    int m, n, k, mc, kc, nc;
+  };
+  for (const Case cs : {Case{1201, 640, 512, 256, 128, 320},
+                        Case{32, 9 * ks.nr + 5, 300, 0, 128, 4 * ks.nr}}) {
+    const auto a = random_matrix<float>(cs.m, cs.k, 31);
+    const auto b = random_matrix<float>(cs.k, cs.n, 32);
+    auto c = random_matrix<float>(cs.m, cs.n, 33);
+    GemmTuning tuning;
+    tuning.mc = cs.mc;
+    tuning.kc = cs.kc;
+    tuning.nc = cs.nc;
+    const detail::BlockGeom g = detail::block_geometry(ks, tuning);
+    const detail::TileGrid grid =
+        detail::make_tile_grid(p, cs.m, cs.n, g, ks.mr, ks.nr);
 
-  // Resolved blocking: mc=252/kc=128/nc rounded to the kernel's nr — read
-  // the realised counts instead of re-deriving nr here.
-  const auto panels =
-      stats.panels.load(std::memory_order_relaxed) - panels_before;
-  const auto tiles =
-      stats.tiles.load(std::memory_order_relaxed) - tiles_before;
-  ASSERT_GT(panels, 0u);
-  EXPECT_EQ(tiles % panels, 0u) << "every panel computes every row tile";
-  const auto row_tiles = tiles / panels;
-  EXPECT_GE(row_tiles, 5u);  // m=1201 over mc<=256 is at least 5 tiles
+    const auto panels_before = stats.panels.load(std::memory_order_relaxed);
+    const auto tiles_before = stats.tiles.load(std::memory_order_relaxed);
+    gemm<float>(Trans::kNo, Trans::kNo, cs.m, cs.n, cs.k, 1.0f, a.data(),
+                cs.k, b.data(), cs.n, 0.0f, c.data(), cs.n,
+                static_cast<int>(p), tuning);
+    const auto panels =
+        stats.panels.load(std::memory_order_relaxed) - panels_before;
+    const auto tiles = stats.tiles.load(std::memory_order_relaxed) -
+                       tiles_before;
+
+    const long jc_steps = (cs.n + g.nc - 1) / g.nc;
+    const long pc_steps = (cs.k + g.kc - 1) / g.kc;
+    EXPECT_EQ(panels, static_cast<std::uint64_t>(jc_steps * pc_steps));
+    EXPECT_EQ(tiles, static_cast<std::uint64_t>(
+                         expected_grid_tiles(grid, g, cs.n, cs.k)))
+        << "m=" << cs.m << " n=" << cs.n;
+    if (cs.m == 32) {
+      // Small m: the grid splits columns, and the narrow last jc-block
+      // (5 columns wide) gets exactly one column tile per row tile.
+      EXPECT_GT(grid.col_tiles(g.nc), 1);
+      EXPECT_EQ(grid.col_tiles(cs.n % g.nc), 1);
+    }
+  }
+}
+
+// ------------------------------------------------------------ tile grid --
+
+TEST(TileGrid, SmallMSplitsColumnsToTwiceTheThreads) {
+  // AVX-512 fp32 geometry (MR 14, NR 32, MC 224, NC 2048): the m = 32
+  // conv layer has 3 MR strips, so the 4-thread grid splits each NC block
+  // into 3 column tiles of 9 NR panels — 9 tiles for 8 wanted.
+  const detail::BlockGeom g{224, 512, 2048};
+  const auto grid = detail::make_tile_grid(4, 32, 784, g, 14, 32);
+  EXPECT_EQ(grid.mt, 14);
+  EXPECT_EQ(grid.row_tiles, 3);
+  EXPECT_EQ(grid.nw, 9 * 32);
+  EXPECT_EQ(grid.col_tiles(784), 3);
+  EXPECT_EQ(grid.max_tiles, 9);
+  EXPECT_EQ(grid.row_extent(2), 4);  // 32 = 14 + 14 + 4
+  // Enough rows: no column split, the tallest height giving 8 row tiles.
+  const auto tall = detail::make_tile_grid(4, 1000, 784, g, 14, 32);
+  EXPECT_EQ(tall.mt, 14 * 9);
+  EXPECT_EQ(tall.col_tiles(784), 1);
+  EXPECT_GE(tall.row_tiles, 8);
+  // One thread wants 2 tiles: a single MC block is split in two.
+  const auto serial = detail::make_tile_grid(1, 224, 784, g, 14, 32);
+  EXPECT_EQ(serial.tiles(784), 2);
+}
+
+TEST(TileGrid, TilesCoverRowsOnTheLatticeInsideMcBlocks) {
+  // For every shape: row tiles partition [0, rows) in order, each a
+  // multiple of MR tall except at a block or matrix edge, never crossing
+  // an MC boundary; column tiles are NR multiples within NC.
+  for (const auto& [mr, nr] : {std::pair{14, 32}, std::pair{6, 8}}) {
+    const detail::BlockGeom g{mr * 16, 64, nr * 8};
+    for (std::size_t p = 1; p <= 4; ++p) {
+      for (int rows = 1; rows <= 3 * g.mc + 1; rows += 7) {
+        for (const int cols : {1, nr - 1, nr + 1, g.nc, 3 * g.nc + 5}) {
+          const auto grid = detail::make_tile_grid(p, rows, cols, g, mr, nr);
+          ASSERT_EQ(grid.mt % mr, 0);
+          ASSERT_LE(grid.mt, g.mc);
+          ASSERT_EQ(grid.nw % nr, 0);
+          ASSERT_LE(grid.nw, g.nc);
+          int next = 0;
+          for (int r = 0; r < grid.row_tiles; ++r) {
+            const int lo = grid.row_lo(r);
+            const int extent = grid.row_extent(r);
+            ASSERT_EQ(lo, next) << "rows=" << rows << " r=" << r;
+            ASSERT_GT(extent, 0);
+            ASSERT_EQ(lo / g.mc, (lo + extent - 1) / g.mc)
+                << "row tile crosses an MC block";
+            ASSERT_EQ(lo % mr, 0);
+            next = lo + extent;
+          }
+          ASSERT_EQ(next, rows) << "p=" << p << " cols=" << cols;
+          // A tile for every thread wherever the MR x NR lattice of the
+          // widest panel has that many micro-tiles.
+          const long strips = (rows + mr - 1) / mr;
+          const long widest = std::min(g.nc, cols);
+          const long lattice = strips * ((widest + nr - 1) / nr);
+          ASSERT_EQ(grid.max_tiles, grid.tiles(static_cast<int>(widest)));
+          ASSERT_GE(grid.max_tiles,
+                    std::min<long>(static_cast<long>(p), lattice))
+              << "rows=" << rows << " cols=" << cols << " p=" << p;
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------- bit identity across thread counts --
+
+/// Runs `call(out, p)` on a fresh copy of `init` for p = 1..4 and requires
+/// every result to match p = 1 bit for bit.
+template <typename T, typename Call>
+void expect_identical_across_p(const std::string& what,
+                               const std::vector<T>& init, Call&& call) {
+  auto serial = init;
+  call(serial.data(), 1);
+  for (const int p : {1, 2, 3, 4}) {
+    auto out = init;
+    call(out.data(), p);
+    ASSERT_EQ(std::memcmp(out.data(), serial.data(), out.size() * sizeof(T)),
+              0)
+        << what << ": p=" << p << " differs from p=1";
+  }
+}
+
+template <typename T>
+void gemm_identical_across_p(int m, int n, int k, Trans ta, Trans tb,
+                             const GemmTuning& tuning = {}) {
+  const int a_cols = ta == Trans::kNo ? k : m;
+  const int b_cols = tb == Trans::kNo ? n : k;
+  const auto a = random_matrix<T>(ta == Trans::kNo ? m : k, a_cols, 71);
+  const auto b = random_matrix<T>(tb == Trans::kNo ? k : n, b_cols, 72);
+  const auto c0 = random_matrix<T>(m, n, 73);
+  expect_identical_across_p<T>(
+      "gemm " + std::to_string(m) + "x" + std::to_string(n) + "x" +
+          std::to_string(k),
+      c0, [&](T* c, int p) {
+        gemm<T>(ta, tb, m, n, k, T(1.5), a.data(), a_cols, b.data(), b_cols,
+                T(0.75), c, n, p, tuning);
+      });
+}
+
+template <typename T>
+void gemm_battery() {
+  const auto& ks = kernels::kernel_set<T>();
+  // m in {1, 16, 32, 64}: fewer MR strips than 2p, so columns split.
+  for (const int m : {1, 16, 32, 64}) {
+    gemm_identical_across_p<T>(m, 300, 200, Trans::kNo, Trans::kNo);
+    gemm_identical_across_p<T>(m, 300, 200, Trans::kYes, Trans::kYes);
+  }
+  // m just below, at and above MC: the last MC block empty, full, one row.
+  for (const int m : {ks.mc - 1, ks.mc, ks.mc + 1}) {
+    gemm_identical_across_p<T>(m, 150, 90, Trans::kNo, Trans::kNo);
+  }
+  // Ragged n around NR and NC; with a small NC the last jc-block is narrow.
+  for (const int n : {ks.nr - 1, ks.nr, ks.nr + 1, ks.nc - 1, ks.nc + 1}) {
+    gemm_identical_across_p<T>(40, n, 64, Trans::kNo, Trans::kNo);
+  }
+  GemmTuning narrow;
+  narrow.kc = 48;
+  narrow.nc = 3 * ks.nr;
+  for (const int n : {7 * ks.nr + 3, 6 * ks.nr + 1}) {
+    gemm_identical_across_p<T>(50, n, 130, Trans::kNo, Trans::kYes, narrow);
+  }
+}
+
+TEST(BitIdentity, GemmAcrossThreadCountsFloat) { gemm_battery<float>(); }
+
+TEST(BitIdentity, GemmAcrossThreadCountsDouble) { gemm_battery<double>(); }
+
+template <typename T>
+void symm_trmm_battery() {
+  // n > kc, so the row tiles cross kc panels: the default blocking at
+  // n = kc + 88, and a small explicit kc/nc.
+  const auto& ks = kernels::kernel_set<T>();
+  GemmTuning small;
+  small.kc = 40;
+  small.nc = 2 * ks.nr;
+  for (const auto& [n, m, tuning] :
+       {std::tuple{ks.kc + 88, 70, GemmTuning{}},
+        std::tuple{150, 5 * ks.nr + 3, small}, std::tuple{30, 400, small}}) {
+    const auto a = random_matrix<T>(n, n, 81);
+    const auto b = random_matrix<T>(n, m, 82);
+    const auto c0 = random_matrix<T>(n, m, 83);
+    const std::string shape = std::to_string(n) + "x" + std::to_string(m);
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      expect_identical_across_p<T>("symm " + shape, c0, [&](T* c, int p) {
+        symm<T>(uplo, n, m, T(1.25), a.data(), n, b.data(), m, T(-0.5), c, m,
+                p, tuning);
+      });
+      for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+        expect_identical_across_p<T>("trmm " + shape, b, [&](T* out, int p) {
+          trmm<T>(uplo, trans, Diag::kNonUnit, n, m, T(1.25), a.data(), n,
+                  out, m, p, tuning);
+        });
+      }
+    }
+  }
+}
+
+TEST(BitIdentity, SymmTrmmAcrossThreadCountsFloat) {
+  symm_trmm_battery<float>();
+}
+
+TEST(BitIdentity, SymmTrmmAcrossThreadCountsDouble) {
+  symm_trmm_battery<double>();
+}
+
+TEST(BitIdentity, TrmmSkipGranularityWithInfInB) {
+  // The serial loop skips a kc panel per MC block. A row tile of the
+  // parallel grid sits below the diagonal of its MC block, so a finer,
+  // per-tile skip would drop panels the serial loop computes against the
+  // zero-padded A — harmless for finite B, but 0 * Inf is NaN, so an Inf
+  // in B would make the result depend on p. kc = 32 puts the Inf's panel
+  // (rows 96..127) past the first row tiles but inside the first MC block.
+  const int n = 300, m = 40;
+  GemmTuning tuning;
+  tuning.kc = 32;
+  const auto a = random_matrix<float>(n, n, 91);
+  auto b = random_matrix<float>(n, m, 92);
+  b[100 * m + 5] = std::numeric_limits<float>::infinity();
+  for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+    for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+      expect_identical_across_p<float>("trmm inf", b, [&](float* out, int p) {
+        trmm<float>(uplo, trans, Diag::kNonUnit, n, m, 2.0f, a.data(), n, out,
+                    m, p, tuning);
+      });
+    }
+  }
 }
 
 // ----------------------------------------------- SYMM / TRMM through it --
